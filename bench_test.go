@@ -261,17 +261,31 @@ func BenchmarkRoundLP(b *testing.B) {
 	}
 }
 
+// BenchmarkMinimalFeasible times the Theorem 1 closing loop on a small
+// flexible instance (closing right to left) and, with the default
+// left-to-right order, on the slowest seed of the large-horizon scaling
+// family (T = 4096, n = T/8), where each of the thousands of trial closes
+// re-augments a network of ~35k edges.
 func BenchmarkMinimalFeasible(b *testing.B) {
-	in := gen.RandomFlexible(gen.RandomConfig{
-		N: 40, Horizon: 60, MaxLen: 5, Slack: 5, G: 3, Seed: 5,
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := activetime.MinimalFeasible(in, activetime.MinimalOptions{
-			Strategy: activetime.CloseRightToLeft,
-		}); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		in   *core.Instance
+		opts activetime.MinimalOptions
+	}{
+		{"n=40,T=60", gen.RandomFlexible(gen.RandomConfig{
+			N: 40, Horizon: 60, MaxLen: 5, Slack: 5, G: 3, Seed: 5,
+		}), activetime.MinimalOptions{Strategy: activetime.CloseRightToLeft}},
+		{"LargeHorizon/T=4096,n=512,seed=7", gen.LargeHorizon(gen.RandomConfig{
+			N: 512, Horizon: 4096, MaxLen: 16, G: 4, Seed: 7,
+		}), activetime.MinimalOptions{}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := activetime.MinimalFeasible(c.in, c.opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

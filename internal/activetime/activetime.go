@@ -60,9 +60,12 @@ func AllSlots(in *core.Instance) []core.Time {
 // the only one that extracts assignments), feasChecker (persistent int64
 // network over every window slot, re-capacitated per query), and the LP
 // separator in lp.go (persistent float64 network with y-scaled
-// capacities). Collapsing the one-shot path onto feasChecker was measured
-// ~1.5x slower on BenchmarkDinicFeasibility — the full-universe build plus
-// toggle pass costs more than constructing the trimmed network directly.
+// capacities). Collapsing the one-shot path onto feasChecker (fullChecker
+// plus one feasible query) measures 1.2x slower at n = 50 and 1.8-2.0x
+// slower at n = 200 and 500 on BenchmarkDinicFeasibility's instances
+// (medians of three runs, 2-vCPU box, sink-level Dinic with gated slots):
+// the full-universe build plus toggle pass costs more than constructing the
+// trimmed network directly.
 func feasibleFlow(g int, jobs []core.Job, open []core.Time, extract bool) (int64, map[int][]core.Time) {
 	slotIdx := make(map[core.Time]int, len(open))
 	// Nodes: 0 = source, 1..len(jobs) = jobs, then slots, then sink.
@@ -122,7 +125,14 @@ func CheckFeasible(in *core.Instance, open []core.Time) bool {
 // max-flow queries over one persistent Gfeas network. The network spans
 // every slot inside some job window; slots and jobs start switched off
 // (capacity 0) and are toggled with setSlot/setJob, which only re-capacitate
-// the affected edge.
+// the affected edges.
+//
+// A closed slot is gated on both sides: its sink edge and its incoming
+// job→slot edges all have capacity 0 (opening restores the job edges to 1).
+// A closed slot carries no flow and cannot reach the sink, so the gate does
+// not change the max flow or the paths Dinic routes; it keeps Dinic's BFS
+// and DFS from walking into the closed slots at all, which dominate the
+// network late in the closing loops.
 //
 // The checker is flow-carrying: the max flow routed by earlier queries
 // survives every mutation. Capacity increases keep their flow verbatim
@@ -196,7 +206,7 @@ func newFeasChecker(g int, jobs []core.Job) *feasChecker {
 		fc.jobEdges[i] = fc.net.AddEdge(fc.src, 1+i, 0)
 		wins := make([]jobWinRef, 0, int(j.LastSlot()-j.FirstSlot())+1)
 		for t := j.FirstSlot(); t <= j.LastSlot(); t++ {
-			id := fc.net.AddEdge(1+i, slotNode[t], 1)
+			id := fc.net.AddEdge(1+i, slotNode[t], 0)
 			wins = append(wins, jobWinRef{t, id})
 			fc.slotIn[t] = append(fc.slotIn[t], jobSlotRef{int32(i), id})
 		}
@@ -205,9 +215,10 @@ func newFeasChecker(g int, jobs []core.Job) *feasChecker {
 	return fc
 }
 
-// setSlot opens or closes a slot (capacity g or 0 on its sink edge),
-// preserving the routed flow; closing a slot that carries flow cancels the
-// excess along the slot's incoming job edges and their supply edges. Slots
+// setSlot opens or closes a slot (capacity g or 0 on its sink edge, 1 or
+// 0 on its incoming job edges), preserving the routed flow; closing a slot
+// that carries flow cancels the excess along the slot's incoming job edges
+// and their supply edges, after which none of them carries flow. Slots
 // outside every job window are ignored: they can never carry work, so their
 // state cannot change feasibility.
 func (fc *feasChecker) setSlot(t core.Time, open bool) {
@@ -238,6 +249,19 @@ func (fc *feasChecker) setSlot(t core.Time, open bool) {
 		fc.net.PushBack(fc.jobEdges[ref.job], f)
 		fc.flow -= f
 		ex -= f
+	}
+	fc.gateSlot(t, open)
+}
+
+// gateSlot sets the capacity of slot t's incoming job edges to 1 (open) or
+// 0 (closed). Closing requires the slot to carry no flow.
+func (fc *feasChecker) gateSlot(t core.Time, open bool) {
+	var c int64
+	if open {
+		c = 1
+	}
+	for _, ref := range fc.slotIn[t] {
+		fc.net.SetCapacity(ref.id, c)
 	}
 }
 
@@ -307,6 +331,7 @@ func (fc *feasChecker) trialCloseSlot(t core.Time) bool {
 	}
 	if fc.net.Flow(id) == 0 {
 		fc.net.SetCapacityKeepFlow(id, 0)
+		fc.gateSlot(t, false)
 		fc.freeCloses++
 		return true
 	}

@@ -58,65 +58,6 @@ func TestTrialCloseMatchesFreshFlow(t *testing.T) {
 	}
 }
 
-// TestFeasCheckerToggleEquivalence drives the flow-carrying checker through
-// adversarial slot and job toggle sequences — including reopening slots and
-// switching jobs off and back on — and checks every feasibility verdict
-// against a fresh one-shot max flow over the same configuration. This is
-// the state-corruption net for SetCapacityKeepFlow/PushBack bookkeeping:
-// any excess mis-cancelled on a capacity decrease shows up as a verdict
-// mismatch within a few toggles.
-func TestFeasCheckerToggleEquivalence(t *testing.T) {
-	const seedsPerFamily = 6
-	for _, fam := range lpFamilies {
-		for seed := int64(0); seed < seedsPerFamily; seed++ {
-			in := fam.make(seed)
-			slots := AllSlots(in)
-			fc := fullChecker(in, slots)
-			slotOpen := make(map[core.Time]bool, len(slots))
-			for _, s := range slots {
-				slotOpen[s] = true
-			}
-			jobOn := make([]bool, len(in.Jobs))
-			for i := range jobOn {
-				jobOn[i] = true
-			}
-			rng := newRand(seed * 7731)
-			for step := 0; step < 60; step++ {
-				if len(in.Jobs) > 0 && rng.Intn(4) == 0 {
-					i := rng.Intn(len(in.Jobs))
-					jobOn[i] = !jobOn[i]
-					fc.setJob(i, jobOn[i])
-				} else {
-					s := slots[rng.Intn(len(slots))]
-					slotOpen[s] = !slotOpen[s]
-					fc.setSlot(s, slotOpen[s])
-				}
-				var jobs []core.Job
-				for i, j := range in.Jobs {
-					if jobOn[i] {
-						jobs = append(jobs, j)
-					}
-				}
-				var open []core.Time
-				for _, s := range slots {
-					if slotOpen[s] {
-						open = append(open, s)
-					}
-				}
-				var total int64
-				for _, j := range jobs {
-					total += j.Length
-				}
-				got, _ := feasibleFlow(in.G, jobs, open, false)
-				if want, have := got == total, fc.feasible(); have != want {
-					t.Fatalf("%s seed %d step %d: incremental feasible=%v, fresh flow says %v (%d jobs on, %d slots open)",
-						fam.name, seed, step, have, want, len(jobs), len(open))
-				}
-			}
-		}
-	}
-}
-
 // TestMinimalFeasibleStatsCounters pins the incremental-flow contract of
 // the closing loop on every family: exactly one cold (from-zero) max flow
 // per feasible run no matter how many slots are probed, every window slot

@@ -9,6 +9,20 @@
 // (capacities y_t and g·y_t are fractional there). The busy-time flow-cover
 // 2-approximation also routes integral 2-unit flows through a job DAG.
 //
+// # Work proportional to the augmenting region
+//
+// Each Dinic phase's BFS stops as soon as it labels the sink, and the DFS
+// enters no node at or past the sink's level other than the sink itself.
+// Full-BFS Dinic labels the whole residual network and then finds every
+// node at or past the sink's level to be a dead end, so both find the same
+// augmenting paths in the same order: per-edge flows, and therefore the
+// minimum cuts and residual reachability read after Max, are identical to
+// those of textbook Dinic, for int64 and float64 alike. The difference is
+// cost: a continuation solve that reroutes a few units next to the source
+// no longer walks the whole network. Callers get the most out of it by
+// giving dead parts of the network zero capacity on the edges leading in,
+// so that the BFS does not enter them at all.
+//
 // # Reuse contract
 //
 // Networks are built once and re-solved many times. Max mutates residual
@@ -187,6 +201,11 @@ func (g *Network[C]) ensureScratch() {
 	}
 }
 
+// bfs labels the level graph of the current residual network and reports
+// whether t is reachable. It stops as soon as t is labelled: every node at a
+// level below t's is labelled by then (BFS dequeues in level order), and
+// nothing at or past t's level other than t itself can lie on a shortest
+// augmenting path, so augment never enters it.
 func (g *Network[C]) bfs(s, t int) bool {
 	level := g.level
 	for i := range g.adj {
@@ -200,21 +219,27 @@ func (g *Network[C]) bfs(s, t int) bool {
 		for _, e := range g.adj[u] {
 			if e.cap > g.eps && level[e.to] < 0 {
 				level[e.to] = level[u] + 1
+				if e.to == t {
+					g.queue = queue
+					return true
+				}
 				queue = append(queue, e.to)
 			}
 		}
 	}
 	g.queue = queue
-	return level[t] >= 0
+	return false
 }
 
 // augment finds one augmenting path from s to t in the current level graph
 // and pushes its bottleneck flow, using an explicit stack instead of
 // recursion. It returns the amount pushed (0 when the level graph admits no
 // further path). Per-node edge iterators (g.iter) persist across calls
-// within a phase, giving the standard O(VE) blocking-flow bound.
+// within a phase, giving the standard O(VE) blocking-flow bound. Only t
+// itself is entered at t's level; other nodes there are dead ends.
 func (g *Network[C]) augment(s, t int) C {
 	path := g.path[:0]
+	lt := g.level[t]
 	u := s
 	for {
 		if u == t {
@@ -237,7 +262,7 @@ func (g *Network[C]) augment(s, t int) C {
 		advanced := false
 		for ; g.iter[u] < len(g.adj[u]); g.iter[u]++ {
 			e := &g.adj[u][g.iter[u]]
-			if e.cap > g.eps && g.level[e.to] == g.level[u]+1 {
+			if e.cap > g.eps && g.level[e.to] == g.level[u]+1 && (e.to == t || g.level[e.to] < lt) {
 				path = append(path, u)
 				u = e.to
 				advanced = true
@@ -260,7 +285,9 @@ func (g *Network[C]) augment(s, t int) C {
 // Max computes the maximum flow from s to t, mutating the residual network.
 // It may be called repeatedly: each call continues from the current residual
 // state, so callers wanting a fresh solve use Reset (and/or SetCapacity)
-// first.
+// first. Each phase's BFS stops at the sink's level; the augmenting paths,
+// and so the per-edge flows, equal those of full-BFS Dinic (see the package
+// documentation).
 func (g *Network[C]) Max(s, t int) C {
 	if s == t {
 		return 0
