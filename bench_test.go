@@ -7,6 +7,7 @@ package repro
 //	go test -bench=. -benchmem
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/activetime"
@@ -286,6 +287,61 @@ func BenchmarkMinimalFeasible(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSessionRemove times a live session's departure path on the
+// canonical scaling instance (T = 4096, n = 512, seed 7): each op first
+// adds 8 donor jobs and re-solves, untimed, then times RemoveJobs of 8
+// random live jobs plus the warm re-solve — the step whose tight departed
+// rows the dual simplex pivots out of the live basis.
+func BenchmarkSessionRemove(b *testing.B) {
+	cfg := gen.RandomConfig{N: 512, Horizon: 4096, MaxLen: 16, G: 4, Seed: 7}
+	sess, err := activetime.NewSession(gen.LargeHorizon(cfg))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sess.Solve(); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	var donor []core.Job
+	nextID := 1 << 20
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if len(donor) < 8 {
+			cfg.Seed++
+			donor = gen.LargeHorizon(cfg).Jobs
+		}
+		batch := append([]core.Job(nil), donor[:8]...)
+		donor = donor[8:]
+		for k := range batch {
+			batch[k].ID = nextID
+			nextID++
+		}
+		if err := sess.AddJobs(batch); err != nil && err != activetime.ErrInfeasible {
+			b.Fatal(err)
+		}
+		if _, err := sess.Solve(); err != nil {
+			b.Fatal(err)
+		}
+		live := sess.Instance().Jobs
+		ids := make([]int, 0, 8)
+		for _, k := range rng.Perm(len(live))[:8] {
+			ids = append(ids, live[k].ID)
+		}
+		b.StartTimer()
+		if err := sess.RemoveJobs(ids); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sess.Solve(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := sess.Stats(); st.ColdRebuilds != 0 {
+		b.Fatalf("%d of %d removals rebuilt the master cold", st.ColdRebuilds, st.RemoveCalls)
 	}
 }
 

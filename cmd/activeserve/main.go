@@ -32,8 +32,9 @@
 // batch that covers its own mutation. Results are cached across tenants by
 // an order-independent instance fingerprint. Every cold escape hatch is
 // counted and logged — lp-level warm-basis fallbacks (coldFallbacks) and
-// session master rebuilds on tight-row removals (coldRebuilds) — never
-// silent.
+// session removals that had to drop the warm basis (coldRebuilds: a
+// removal coalesced behind an unsolved arrival, or a refused tight-row
+// relaxation) — never silent.
 package main
 
 import (
@@ -86,7 +87,7 @@ type server struct {
 	overloads     atomic.Int64 // tenant lock not acquired within deadline
 	deadlines     atomic.Int64 // solve outlived the request deadline
 	coldFallbacks atomic.Int64 // lp-level warm-basis abandonments
-	coldRebuilds  atomic.Int64 // session master rebuilds on removal
+	coldRebuilds  atomic.Int64 // session removals that dropped the warm basis
 }
 
 func newServer(cfg serverConfig) *server {
@@ -225,7 +226,7 @@ func (s *server) noteRebuilds(t *tenant) {
 		d := st.ColdRebuilds - t.coldRebuilds
 		t.coldRebuilds = st.ColdRebuilds
 		s.coldRebuilds.Add(int64(d))
-		s.cfg.Logf("activeserve: removal hit a tight row; master rebuilt cold (%d total for tenant)", st.ColdRebuilds)
+		s.cfg.Logf("activeserve: removal could not stay warm (unsolved arrival in the batch, or a refused tight-row relaxation); next solve is cold (%d total for tenant)", st.ColdRebuilds)
 	}
 }
 

@@ -24,7 +24,8 @@
 // at T >= 4096, and against the latest existing entry the experiment set
 // must not shrink, no experiment may lose table columns, the kernel
 // digest's hypersparse share must not collapse, and the approximation and
-// delta counters must not regress. Wall times are recorded but deliberately not gated — they
+// delta counters (warm-start fallbacks, removal rebuilds, the headline
+// horizon) must not regress. Wall times are recorded but deliberately not gated — they
 // are machine-dependent; the gated metrics are the deterministic ones.
 // With -merge-from, the records of a previous run's -bench-json output are
 // merged instead of running the experiments — the same gates apply; only
@@ -182,6 +183,12 @@ func checkNonRegression(prev trajectoryEntry, records []benchRecord) error {
 			if r.Delta.ColdFallbacks > p.Delta.ColdFallbacks {
 				return fmt.Errorf("%s warm-start fallbacks regressed: %d -> %d",
 					r.ID, p.Delta.ColdFallbacks, r.Delta.ColdFallbacks)
+			}
+			// Every removal stays warm unless the relaxation of a tight row
+			// is refused; a rise in rebuilds is a warm-removal regression.
+			if r.Delta.RemoveRebuilds > p.Delta.RemoveRebuilds {
+				return fmt.Errorf("%s removal rebuilds regressed: %d -> %d",
+					r.ID, p.Delta.RemoveRebuilds, r.Delta.RemoveRebuilds)
 			}
 			// Once the headline cell runs at the full horizon, a later entry
 			// shrinking it would quietly disarm the >= 5x ratio gate.

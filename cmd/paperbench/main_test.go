@@ -71,8 +71,9 @@ func TestRunAllQuick(t *testing.T) {
 
 // TestMergeTrajectoryGate exercises the -merge-bench non-regression gate
 // directly: appending compatible records extends the trajectory, dropping
-// a column or collapsing the kernel digest is rejected without touching
-// the file, and partial runs leave unexecuted experiments ungated.
+// a column, collapsing the kernel digest or raising the E20 removal
+// rebuild count is rejected without touching the file, and partial runs
+// leave unexecuted experiments ungated.
 func TestMergeTrajectoryGate(t *testing.T) {
 	path := t.TempDir() + "/traj.json"
 	kern := &experiments.KernelSummary{HyperShare: 0.35, FtranAvgNNZ: 190, BtranAvgNNZ: 320, RowRefills: 12, Pivots: 100}
@@ -88,6 +89,8 @@ func TestMergeTrajectoryGate(t *testing.T) {
 	next := []benchRecord{
 		{ID: "E18", Columns: []string{"T", "pivots", "hyp%"},
 			Kernel: &experiments.KernelSummary{HyperShare: 0.30, Pivots: 90}},
+		{ID: "E20", Columns: []string{"family", "rebuilds"},
+			Delta: &experiments.DeltaSummary{RemoveRebuilds: 2, HeadlineT: 256}},
 	}
 	if err := mergeTrajectory(path, "pr6", next); err != nil {
 		t.Fatalf("compatible merge: %v", err)
@@ -111,6 +114,8 @@ func TestMergeTrajectoryGate(t *testing.T) {
 		{"dropped kernel digest", []benchRecord{{ID: "E18", Columns: []string{"T", "pivots", "hyp%"}}}},
 		{"collapsed hypersparse share", []benchRecord{{ID: "E18", Columns: []string{"T", "pivots", "hyp%"},
 			Kernel: &experiments.KernelSummary{HyperShare: 0.01}}}},
+		{"more removal rebuilds", []benchRecord{{ID: "E20", Columns: []string{"family", "rebuilds"},
+			Delta: &experiments.DeltaSummary{RemoveRebuilds: 3, HeadlineT: 256}}}},
 	} {
 		if err := mergeTrajectory(path, "bad", bad.recs); err == nil {
 			t.Errorf("%s: merge accepted", bad.name)

@@ -32,7 +32,8 @@
 // native variable upper bounds, warm-started re-solves from the previous
 // optimal basis (Problem.ResolveFrom, bounded dual simplex with
 // Harris-style tie-broken bound flips over newly appended cuts), and
-// in-place removal of slack rows (Problem.RemoveRows). Pricing is rule-selectable
+// in-place removal of rows, tight ones pivoted slack first
+// (Problem.RemoveRows). Pricing is rule-selectable
 // (Problem.SetPricing): the default maintains Forrest–Goldfarb dual
 // steepest-edge reference weights incrementally across every pivot,
 // RemoveRows and refactorization — falling back to devex max-form updates
@@ -105,11 +106,13 @@
 // so an infeasible arrival is rejected atomically. Session.RemoveJobs
 // drops departures the same way: the registry's stored witnesses name
 // exactly the rows touching a departed job, lp.Problem.RemoveRows excises
-// them from the live state when their slacks are basic, and the
-// separation network detaches the jobs flow-preservingly
-// (SetCapacityKeepFlow plus length-3-path PushBack cancellation) instead
-// of being rebuilt; when a departed row is tight in the basis the removal
-// falls back to a counted master rebuild (SessionStats.ColdRebuilds).
+// them from the live state (a tight departed row is first relaxed and
+// pivoted slack by the dual simplex), each dropped cut is replaced by its
+// projection onto the surviving jobs, and the separation network detaches
+// the jobs flow-preservingly (SetCapacityKeepFlow plus length-3-path
+// PushBack cancellation) instead of being rebuilt; only a basis out of
+// sync with unsolved edits, or a refused relaxation, drops the rows
+// without the basis (the counted SessionStats.ColdRebuilds).
 // Nothing in this layer may fail silently: a warm re-solve that abandons
 // its basis is counted and its verdict recorded
 // (LPResult.ColdFallbacks/FallbackVerdicts — the canonical scaling gates

@@ -9,9 +9,9 @@ import (
 const (
 	// purgeSlackTol is the slack beyond which a cut counts as inactive for
 	// a round. It is far above the solver's 1e-6 feasibility tolerance, so
-	// every purged row provably has its slack column basic — the
-	// precondition of lp.Problem.RemoveRows (a nonbasic slack rests at
-	// exactly zero).
+	// every purged row provably has its slack column basic (a nonbasic
+	// slack rests at exactly zero) and lp.Problem.RemoveRows excises it
+	// without the pivots it spends relaxing tight rows.
 	purgeSlackTol = 1e-5
 	// purgeAfterRounds is how many consecutive inactive rounds a cut must
 	// accumulate before it is purged. One slack round is routine (the

@@ -21,9 +21,10 @@ type SessionStats struct {
 	// against a cold solve of the same mutated instance.
 	DeltaPivots int
 	// ColdRebuilds counts RemoveJobs calls that could not excise the dead
-	// rows from the live basis (a departed job's row was tight, or the
-	// basis was out of sync with unsolved structural edits) and rebuilt the
-	// master instead, surrendering the warm start.
+	// rows from the live basis — the basis was out of sync with unsolved
+	// edits (AddJobs with no Solve since), or lp refused to relax a tight
+	// row — and dropped them without it, surrendering the warm start. A
+	// tight departed row alone no longer costs a rebuild.
 	ColdRebuilds int
 	// ColdFallbacks sums the lp-level warm-basis abandonments
 	// (lp.Solution.ColdFallbacks) across all of the session's solves.
@@ -39,8 +40,8 @@ type SessionStats struct {
 //
 // AddJobs appends slot columns (priced into the live basis by the engine's
 // column splice) and seed covering rows; RemoveJobs drops the departed
-// jobs' rows from the live basis when they are slack and takes a counted
-// cold rebuild when one is tight. The column space is monotone: slots a
+// jobs' rows from the live basis, tight ones included, and appends the
+// projections of the cuts it dropped. The column space is monotone: slots a
 // removal strands beyond the current horizon keep their columns, which no
 // surviving row references, so they rest at zero and the objective equals a
 // cold solve of the mutated instance — the delta-vs-cold metamorphic suite
@@ -279,12 +280,16 @@ func (s *Session) AddJobs(jobs []core.Job) error {
 // RemoveJobs removes the jobs with the given IDs (duplicates tolerated,
 // unknown IDs an error before anything mutates; emptying the instance is
 // rejected). The departed jobs' seed rows and every cut whose job set
-// touches them leave the master: excised from the live basis in place when
-// all of them are slack, or — the counted escape hatch, never silent — by
-// rebuilding the master from the registry mirror when one is tight
-// (ColdRebuilds), surrendering the warm basis for the next Solve. The
-// separation network cancels only the departed jobs' flow; the registry
-// remaps every surviving cut into the compacted job positions.
+// touches them leave the master, excised from the live basis in place:
+// lp.Problem.RemoveRows pivots tight departed rows out with the dual
+// simplex before excising them, so the next Solve starts warm. Each dropped
+// cut is replaced by its projection onto the surviving jobs — the cut of
+// A \ D for job set A and departed set D, itself a valid LP1 cut — which
+// keeps the master close to its old optimum instead of re-separating those
+// cuts from nothing. The counted escape hatch (ColdRebuilds) drops the rows
+// without the basis when the removal cannot stay warm. The separation
+// network cancels only the departed jobs' flow; the registry remaps every
+// surviving cut into the compacted job positions.
 func (s *Session) RemoveJobs(ids []int) error {
 	if len(ids) == 0 {
 		return nil
@@ -306,17 +311,24 @@ func (s *Session) RemoveJobs(ids []int) error {
 	}
 	mask := s.reg.rowsTouching(dead)
 	var drop []int
+	var gone []*cutRecord // dropped cuts, projected below
 	for i, d := range mask {
 		if d {
 			drop = append(drop, i)
+			if rec := s.reg.rows[i].rec; rec != nil {
+				gone = append(gone, rec)
+			}
 		}
 	}
-	rebuilt := false
 	if err := s.prob.RemoveRows(drop, s.basis); err != nil {
-		// A dead row is tight in the live basis (or the basis is out of
-		// sync): removal cannot stay warm. Nothing was mutated; fall back
-		// to rebuilding the master below, after the mirrors compact.
-		rebuilt = true
+		// The basis is out of sync with unsolved edits, or the relaxation
+		// of a tight row was refused (nothing was mutated either way): drop
+		// the same rows without the basis and re-solve cold.
+		if err := s.prob.RemoveRows(drop, nil); err != nil {
+			return fmt.Errorf("activetime: RemoveJobs: %w", err)
+		}
+		s.basis = nil
+		s.stats.ColdRebuilds++
 	}
 	s.reg.dropRows(mask)
 	s.sep.removeJobs(dead)
@@ -335,44 +347,29 @@ func (s *Session) RemoveJobs(ids []int) error {
 	}
 	s.in.Jobs = s.in.Jobs[:out]
 	s.reg.remapJobs(posMap, out)
-	if rebuilt {
-		if err := s.rebuildMaster(); err != nil {
-			return err
+	// A dropped record's witness still names its old positions (remapJobs
+	// deletes such records without rewriting them). A projection of one job
+	// is that job's seed row, which never leaves the master, so only sets of
+	// two or more jobs become cuts.
+	for _, rec := range gone {
+		A := make([]bool, out)
+		size := 0
+		for i, np := range posMap {
+			if np >= 0 && i/8 < len(rec.wit) && rec.wit[i/8]>>(uint(i)&7)&1 == 1 {
+				A[np] = true
+				size++
+			}
 		}
-		s.basis = nil
-		s.stats.ColdRebuilds++
+		if size < 2 || s.reg.inMaster(A) {
+			continue
+		}
+		cols, vals, rhs := cutFor(s.in, A)
+		if err := s.prob.AddSparse(cols, vals, lp.GE, rhs); err != nil {
+			return fmt.Errorf("activetime: RemoveJobs projected cut: %w", err)
+		}
+		s.reg.add(A, cols, vals, rhs)
 	}
 	s.stats.RemoveCalls++
 	s.solved = false
-	return nil
-}
-
-// rebuildMaster reconstructs the master from the registry's row mirror at
-// the session's monotone column width, preserving the surviving row order,
-// after an in-place row removal was refused.
-func (s *Session) rebuildMaster() error {
-	prob := lp.NewProblem(s.cols)
-	for t := 0; t < s.cols; t++ {
-		prob.SetObjective(t, 1)
-		prob.SetUpper(t, 1)
-	}
-	for _, rr := range s.reg.rows {
-		if rr.rec == nil {
-			j := s.in.Jobs[rr.job]
-			var cols []int
-			var vals []float64
-			for t := j.FirstSlot(); t <= j.LastSlot(); t++ {
-				cols = append(cols, int(t)-1)
-				vals = append(vals, 1)
-			}
-			if err := prob.AddSparse(cols, vals, lp.GE, float64(j.Length)); err != nil {
-				return fmt.Errorf("activetime: rebuildMaster: %w", err)
-			}
-		} else if err := prob.AddSparse(rr.rec.cols, rr.rec.vals, lp.GE, rr.rec.rhs); err != nil {
-			return fmt.Errorf("activetime: rebuildMaster: %w", err)
-		}
-	}
-	s.prob = prob
-	s.applyOpts()
 	return nil
 }

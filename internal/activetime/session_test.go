@@ -2,6 +2,7 @@ package activetime
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -83,8 +84,8 @@ func mutateSession(t *testing.T, sess *Session, rng *rand.Rand, mk func(int64) *
 // layer: on every generator family, after any mutation sequence of arrivals
 // and departures, the patched session's optimum must equal a cold solve of
 // the mutated instance to 1e-6 — and no delta re-solve may abandon its warm
-// basis (ColdFallbacks stays zero; counted cold rebuilds on tight-row
-// removals are allowed, silent fallbacks are not).
+// basis (ColdFallbacks stays zero; counted ColdRebuilds are allowed,
+// silent fallbacks are not).
 func TestSessionDeltaMatchesColdSolve(t *testing.T) {
 	const seedsPerFamily = 6
 	const steps = 4
@@ -127,6 +128,141 @@ func TestSessionDeltaMatchesColdSolve(t *testing.T) {
 	}
 	if checked < 100 {
 		t.Fatalf("only %d delta-vs-cold checks ran; want >= 100 (generator drift?)", checked)
+	}
+}
+
+// checkMirror asserts the registry's row mirror is the master's row set:
+// one mirror entry per master row, every cut entry live, and no job set in
+// the master twice (a seed row is its job's singleton set).
+func checkMirror(t *testing.T, sess *Session, where string) {
+	t.Helper()
+	if got, want := len(sess.reg.rows), sess.prob.NumConstraints(); got != want {
+		t.Fatalf("%s: registry mirrors %d rows, master has %d", where, got, want)
+	}
+	seen := make(map[string]bool, len(sess.reg.rows))
+	for i, rr := range sess.reg.rows {
+		var key string
+		if rr.rec == nil {
+			A := make([]bool, sess.NumJobs())
+			A[rr.job] = true
+			key = string(packJobSet(A))
+		} else {
+			if !rr.rec.inMaster {
+				t.Fatalf("%s: master row %d's cut is not marked in the master", where, i)
+			}
+			key = string(rr.rec.wit)
+		}
+		if seen[key] {
+			t.Fatalf("%s: master row %d repeats a job set already in the master", where, i)
+		}
+		seen[key] = true
+	}
+}
+
+// TestSessionRemovalsStayWarm is the removal-heavy delta-vs-cold suite: on
+// every generator family, departures from a solved session stay on the warm
+// path (tight departed rows are pivoted out, never rebuilt: ColdRebuilds
+// stays 0), each re-solve matches a cold SolveLP to 1e-6, and the registry
+// mirror keeps pace with the master through the projected cuts.
+func TestSessionRemovalsStayWarm(t *testing.T) {
+	removals := 0
+	for _, fam := range sessionFamilies {
+		for seed := int64(0); seed < 4; seed++ {
+			sess, err := NewSession(fam.make(seed))
+			if err == ErrInfeasible {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s seed %d: NewSession: %v", fam.name, seed, err)
+			}
+			if _, err := sess.Solve(); err != nil {
+				t.Fatalf("%s seed %d: initial Solve: %v", fam.name, seed, err)
+			}
+			rng := rand.New(rand.NewSource(seed*313 + int64(len(fam.name))))
+			for step := 0; step < 6; step++ {
+				where := fmt.Sprintf("%s seed %d step %d", fam.name, seed, step)
+				if step%3 == 2 || sess.NumJobs() < 3 {
+					jobs := donate(fam.make(seed+50+int64(step)), 1+rng.Intn(3), maxJobID(sess.Instance())+1)
+					if err := sess.AddJobs(jobs); err != nil && err != ErrInfeasible {
+						t.Fatalf("%s: AddJobs: %v", where, err)
+					}
+				} else {
+					cur := sess.Instance().Jobs
+					ids := []int{cur[rng.Intn(len(cur))].ID, cur[rng.Intn(len(cur))].ID}
+					if err := sess.RemoveJobs(ids[:1+rng.Intn(2)]); err != nil {
+						t.Fatalf("%s: RemoveJobs: %v", where, err)
+					}
+					removals++
+				}
+				checkMirror(t, sess, where)
+				got, err := sess.Solve()
+				if err != nil {
+					t.Fatalf("%s: Solve: %v", where, err)
+				}
+				cold, err := SolveLP(sess.Instance())
+				if err != nil {
+					t.Fatalf("%s: cold SolveLP: %v", where, err)
+				}
+				if math.Abs(got.Objective-cold.Objective) > 1e-6 {
+					t.Errorf("%s: session LP %.9f, cold %.9f", where, got.Objective, cold.Objective)
+				}
+				if got.ColdFallbacks != 0 {
+					t.Errorf("%s: warm-basis fallbacks: %v", where, got.FallbackVerdicts)
+				}
+				checkMirror(t, sess, where)
+			}
+			if st := sess.Stats(); st.ColdRebuilds != 0 {
+				t.Errorf("%s seed %d: %d removals rebuilt the master cold", fam.name, seed, st.ColdRebuilds)
+			}
+		}
+	}
+	if removals < 80 {
+		t.Fatalf("only %d removals ran; want >= 80 (generator drift?)", removals)
+	}
+}
+
+// TestSessionRemoveAfterUnsolvedAdd covers the counted fallback: AddJobs
+// then RemoveJobs with no Solve between leaves the basis out of sync with
+// the master, so the removal drops its rows without the basis — counted in
+// ColdRebuilds — and the next Solve still matches a cold solve.
+func TestSessionRemoveAfterUnsolvedAdd(t *testing.T) {
+	for _, fam := range sessionFamilies {
+		sess, err := NewSession(fam.make(2))
+		if err == ErrInfeasible {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: NewSession: %v", fam.name, err)
+		}
+		if _, err := sess.Solve(); err != nil {
+			t.Fatalf("%s: Solve: %v", fam.name, err)
+		}
+		jobs := donate(fam.make(3), 2, maxJobID(sess.Instance())+1)
+		if err := sess.AddJobs(jobs); err == ErrInfeasible {
+			continue
+		} else if err != nil {
+			t.Fatalf("%s: AddJobs: %v", fam.name, err)
+		}
+		cur := sess.Instance().Jobs
+		if err := sess.RemoveJobs([]int{cur[0].ID, jobs[1].ID}); err != nil {
+			t.Fatalf("%s: RemoveJobs: %v", fam.name, err)
+		}
+		if st := sess.Stats(); st.ColdRebuilds != 1 {
+			t.Errorf("%s: ColdRebuilds = %d after an out-of-sync removal, want 1", fam.name, st.ColdRebuilds)
+		}
+		checkMirror(t, sess, fam.name)
+		got, err := sess.Solve()
+		if err != nil {
+			t.Fatalf("%s: Solve after fallback: %v", fam.name, err)
+		}
+		cold, err := SolveLP(sess.Instance())
+		if err != nil {
+			t.Fatalf("%s: cold SolveLP: %v", fam.name, err)
+		}
+		if math.Abs(got.Objective-cold.Objective) > 1e-6 {
+			t.Errorf("%s: session LP %.9f after fallback, cold %.9f", fam.name, got.Objective, cold.Objective)
+		}
+		checkMirror(t, sess, fam.name)
 	}
 }
 
@@ -333,6 +469,7 @@ func FuzzInstanceDelta(f *testing.F) {
 			if got.ColdFallbacks != 0 {
 				t.Fatalf("step %d: %d warm-basis fallbacks: %v", step, got.ColdFallbacks, got.FallbackVerdicts)
 			}
+			checkMirror(t, sess, fmt.Sprintf("step %d", step))
 		}
 	})
 }

@@ -72,11 +72,12 @@ func e20Headline(quick bool) (T int) {
 // 1e-6, the warm-start fallback counter must be exactly zero (a nonzero
 // count means the simplex silently abandoned a live basis — the bug class
 // this experiment exists to keep extinct), and the headline add-ratio
-// must stay >= 5 whenever the headline horizon is the full 4096.
+// must stay >= 5 whenever the headline horizon is the full 4096; the
+// removal rebuild count may not rise above the previous entry's.
 type DeltaSummary struct {
 	MaxObjDelta      float64 `json:"maxObjDelta"`      // worst |session - cold| objective gap
 	ColdFallbacks    int     `json:"coldFallbacks"`    // warm-start fallbacks across every solve (must be 0)
-	RemoveRebuilds   int     `json:"removeRebuilds"`   // counted master rebuilds on the removal path
+	RemoveRebuilds   int     `json:"removeRebuilds"`   // removals that dropped the live basis (SessionStats.ColdRebuilds)
 	RejectedDeltas   int     `json:"rejectedDeltas"`   // arrivals refused atomically as infeasible
 	HeadlineT        int     `json:"headlineT"`        // horizon of the pivot-ratio cell
 	HeadlineAddRatio float64 `json:"headlineAddRatio"` // cold pivots / delta pivots on the headline arrival
@@ -112,7 +113,7 @@ func E20DeltaResolve(cfg Config) (*Table, error) {
 	tab.Notes = append(tab.Notes,
 		"maxΔobj compares each post-mutation session solve against a cold SolveLP of the identical instance state",
 		"fallbacks counts warm-start abandonments across both solve paths; any nonzero value fails the trajectory merge",
-		"rebuilds counts the removal path's counted cold-rebuild escape hatch (a departed seed row tight in the basis refuses in-place RemoveRows)",
+		"rebuilds counts removals that dropped the live basis (SessionStats.ColdRebuilds: a refused tight-row relaxation); the trajectory merge rejects an increase",
 		"the headline row's Δpivots/coldpivots ratio is the tentpole gate: >= 5x at T = 4096")
 	return tab, nil
 }

@@ -106,15 +106,16 @@ func TestDSEWeightsExactAcrossPivots(t *testing.T) {
 			}
 			checkWeights(t, basis.t, "after warm re-solve")
 			// Periodically remove a strictly slack row, exercising the
-			// weight compaction path.
-			if round%3 == 2 {
+			// weight compaction path, or a tight one, exercising the
+			// relaxation pivots that precede it.
+			if round%3 != 0 {
 				x := sol.X
 				for i := 0; i < p.NumConstraints(); i++ {
 					slack := 0.0
 					for _, e := range p.rows[i] {
 						slack += e.val * x[e.col]
 					}
-					if p.rel[i] == GE && slack > p.b[i]+1e-4 {
+					if p.rel[i] == GE && (round%3 == 2) == (slack > p.b[i]+1e-4) {
 						if err := p.RemoveRows([]int{i}, basis); err != nil {
 							t.Fatalf("seed %d round %d: remove: %v", seed, round, err)
 						}

@@ -135,12 +135,14 @@
 // row appends: the live state splices them in nonbasic at their lower
 // bound, reprices them against the persistent dual row at the
 // refactorization the splice schedules, and the usual dual+primal repair
-// absorbs any that price attractively), or rows strictly slack at the last
-// optimum are removed (RemoveRows, which excises
-// them from both the problem and the live state — the primitive behind
-// Benders cut purging) between calls: appended rows enter with their own
-// basic slack, and removing a slack row disturbs neither the remaining
-// duals nor any remaining basic value. Changing the objective between
+// absorbs any that price attractively), or rows are removed (RemoveRows,
+// which excises them from both the problem and the live state — the
+// primitive behind Benders cut purging and session job departures) between
+// calls: appended rows enter with their own basic slack, removing a slack
+// row disturbs neither the remaining duals nor any remaining basic value,
+// and a tight LE/GE row is first relaxed to a right-hand side it cannot
+// bind at and pivoted slack by the dual simplex (a right-hand side change
+// keeps the basis dual feasible). Changing the objective between
 // re-solves is also permitted (the final primal clean-up phase
 // re-optimizes). A warm re-solve falls back to a cold two-phase solve only
 // when the caller passes a nil Basis — which is also what callers must do
@@ -501,17 +503,28 @@ func (p *Problem) AddDense(coeffs []float64, rel Relation, rhs float64) error {
 // With a nil basis only the problem is edited and any previously captured
 // basis becomes invalid (ResolveFrom rejects it as out of sync, via a
 // removal epoch the basis snapshots — row counts alone cannot tell
-// remove-then-append from append-only). With the
-// basis of this problem's latest Optimal (re)solve, the rows are also
-// excised from the live simplex state in place: this is legal only for rows
-// that are strictly slack at that optimum (their slack column is basic), in
-// which case the remaining state is still optimal for the reduced problem
-// and the next ResolveFrom only pays one refactorization. Attempting to
-// remove a tight row fails with an error before anything is mutated.
+// remove-then-append from append-only). With the basis of this problem's
+// latest Optimal (re)solve, the rows are also excised from the live simplex
+// state in place, which needs each removed row's slack column basic; the
+// remaining state is then still optimal for the reduced problem and the
+// next ResolveFrom only pays one refactorization.
 //
-// This is the primitive behind Benders cut purging: a persistently slack
-// cut has a basic slack by definition, so purging between rounds never
-// pays the purge-and-rebuild cost of a cold re-solve.
+// When every removed row is strictly slack at that optimum its slack is
+// basic already and nothing else happens — the Benders purge path: a
+// persistently slack cut has a basic slack by definition, so purging never
+// pays a cold re-solve. When some removed row is tight, the right-hand side
+// of every removed row first moves to a value the row cannot bind at
+// anywhere in the variable box, and the dual simplex (the warm path's, under
+// its budget) repairs the basis; at the relaxed optimum every removed row's
+// slack is basic and the excision above applies. Those pivots and
+// refactorizations are reported in the next ResolveFrom's Iterations and
+// Refactors. The call fails, with the problem untouched and the basis still
+// a valid warm start, when the basis is out of sync with the problem, or,
+// once a relaxation is needed, when a removed row is an equality (EQ), when
+// a removed row's relaxation is unbounded over the box (it needs a
+// variable's infinite upper bound), or when the repair does not end
+// Optimal; the caller then removes the rows with a nil basis and re-solves
+// cold.
 func (p *Problem) RemoveRows(drop []int, basis *Basis) error {
 	if len(drop) == 0 {
 		return nil
@@ -526,7 +539,7 @@ func (p *Problem) RemoveRows(drop []int, basis *Basis) error {
 			return errors.New("lp: basis is out of sync with the problem; re-solve before removing rows")
 		}
 		if err := basis.t.removeRows(drop); err != nil {
-			return err // nothing mutated; the basis stays valid
+			return err // the problem is untouched; the basis stays a valid warm start
 		}
 	}
 	p.removeEpoch++
@@ -780,9 +793,12 @@ func (p *Problem) ResolveFrom(prev *Basis) (*Solution, *Basis, error) {
 		if j, changed := p.upperChanged(t.probUpper); changed {
 			return nil, nil, fmt.Errorf("lp: upper bound of variable %d changed since the basis was captured; re-solve cold", j)
 		}
-		t.pivotsAtCall = t.pivots
-		t.refactorsAtCall = t.refactors
-		t.kstatsAtCall = t.kstats
+		if !t.callOpen { // else a RemoveRows relaxation opened this call's counters
+			t.pivotsAtCall = t.pivots
+			t.refactorsAtCall = t.refactors
+			t.kstatsAtCall = t.kstats
+		}
+		t.callOpen = false
 		newCols := p.numVars - t.n
 		t.appendProblemCols(p)
 		copy(t.cost[:t.n], p.c) // pick up objective changes since the snapshot

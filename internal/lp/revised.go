@@ -151,7 +151,11 @@ type revised struct {
 	pivotsAtCall    int // pivot count when the current ResolveFrom began
 	refactors       int // lifetime successful refactorizations
 	refactorsAtCall int // refactorization count when the current call began
-	sinceRefresh    int
+	// callOpen marks the *AtCall snapshots as taken early: a RemoveRows
+	// relaxation pivoted since the last solve, and the next ResolveFrom
+	// reports that work as its own instead of re-snapshotting.
+	callOpen     bool
+	sinceRefresh int
 
 	pivotHook func(row, col int) // observes basis changes; nil outside tests
 }
@@ -2176,24 +2180,26 @@ func (t *revised) appendRow(row []entry, rel Relation, b float64, xs []float64) 
 }
 
 // removeRows excises the given problem rows from the live simplex state in
-// place. Legal only for rows whose slack/surplus/artificial column is
-// currently basic — for a zero-cost unit column e_r to be basic its dual
-// price must be zero (red = 0 − y_r), so dropping constraint row r together
-// with that basis member changes neither the remaining duals nor any
-// remaining basic value, and the cofactor expansion of det(B) along the
-// unit column shows the reduced basis stays nonsingular. The state is
-// therefore still optimal for the reduced problem; only the factorization
-// must be rebuilt, which the next solve does once.
+// place. Excision needs each row's slack/surplus/artificial column basic —
+// for a zero-cost unit column e_r to be basic its dual price must be zero
+// (red = 0 − y_r), so dropping constraint row r together with that basis
+// member changes neither the remaining duals nor any remaining basic value,
+// and the cofactor expansion of det(B) along the unit column shows the
+// reduced basis stays nonsingular. The state is therefore still optimal for
+// the reduced problem; only the factorization must be rebuilt, which the
+// next solve does once.
 //
 // A row that is strictly slack at the current optimum always qualifies: a
 // nonbasic logical rests at a bound (zero, or a pinned upper of zero), so a
-// positive slack value forces the logical into the basis.
+// positive slack value forces the logical into the basis. When some dropped
+// row is tight, relaxRows first pivots every dropped row's logical into the
+// basis; a refused relaxation returns an error with the problem rows
+// untouched and the basis still a valid warm start.
 func (t *revised) removeRows(drop []int) error {
 	// Validate every drop before mutating anything.
 	deadProb := make([]bool, len(t.probRow))
-	deadRow := make([]bool, t.m)
-	deadPos := make([]bool, t.m)
-	deadCol := make([]bool, len(t.cost))
+	var rows []int32 // materialized engine rows to excise
+	tight := false
 	for _, pr := range drop {
 		if pr < 0 || pr >= len(t.probRow) {
 			return fmt.Errorf("lp: RemoveRows index %d out of range [0,%d)", pr, len(t.probRow))
@@ -2206,18 +2212,22 @@ func (t *revised) removeRows(drop []int) error {
 		if er < 0 {
 			continue // presolved away: nothing materialized to excise
 		}
-		basicLog := -1
-		for _, lc := range t.rowLogs[er] {
-			if t.inBasis[int(lc)] {
-				basicLog = int(lc)
-				break
-			}
+		rows = append(rows, er)
+		if t.basicLogical(er) < 0 {
+			tight = true
 		}
-		if basicLog < 0 {
-			return fmt.Errorf("lp: row %d is tight at the current basis; only slack rows can be removed", pr)
+	}
+	if tight {
+		if err := t.relaxRows(rows); err != nil {
+			return err
 		}
+	}
+	deadRow := make([]bool, t.m)
+	deadPos := make([]bool, t.m)
+	deadCol := make([]bool, len(t.cost))
+	for _, er := range rows {
 		deadRow[er] = true
-		deadPos[t.whereBasic[basicLog]] = true
+		deadPos[t.whereBasic[t.basicLogical(er)]] = true
 		for _, lc := range t.rowLogs[er] {
 			deadCol[int(lc)] = true
 		}
@@ -2370,6 +2380,91 @@ func (t *revised) removeRows(drop []int) error {
 	t.probRow = t.probRow[:npr]
 	t.rowsBuilt = npr
 	t.factorStale = true
+	return nil
+}
+
+// basicLogical returns the basic logical column of engine row er, or -1
+// when every logical of the row is nonbasic (the row is tight).
+func (t *revised) basicLogical(er int32) int {
+	for _, lc := range t.rowLogs[er] {
+		if t.inBasis[int(lc)] {
+			return int(lc)
+		}
+	}
+	return -1
+}
+
+// relaxRows makes the given engine rows removable when some of them are
+// tight. Each row's right-hand side moves to a value the row cannot bind at
+// anywhere in the box: with the row's non-artificial logical
+// l = σ(rhs − Σv·x), rhs becomes max_box Σv·x + 1 for σ = +1 and
+// min_box Σv·x − 1 for σ = −1, so l ≥ 1 at every point and, at any optimum,
+// l is basic. Every given row is relaxed, not only the tight ones, or the
+// repair could make a slack one tight. A right-hand side change leaves the
+// reduced costs untouched, so the state stays dual feasible and the same
+// dual simplex the warm path runs, under the same budget, restores
+// optimality. The pivots and refactorizations it spends are reported by the
+// next ResolveFrom (callOpen).
+//
+// Refusals mutate nothing the caller can see: an equality row (no logical
+// free to grow) and a row unbounded over the box are refused before any
+// pivot; a repair that does not end Optimal restores the right-hand sides,
+// which leaves a dual-feasible basis — a valid warm start.
+func (t *revised) relaxRows(rows []int32) error {
+	relaxed := make([]float64, len(rows))
+	for k, er := range rows {
+		sigma := 0.0
+		for _, lc := range t.rowLogs[er] {
+			if !t.isArt[lc] && math.IsInf(t.upper[lc], 1) {
+				sigma = t.logSign[int(lc)-t.n]
+			}
+		}
+		if sigma == 0 {
+			return fmt.Errorf("lp: cannot relax a removed equality row; remove it with a nil basis and re-solve cold")
+		}
+		lo, hi := 0.0, 0.0
+		for i, c := range t.rowCols[er] {
+			if v := t.rowVals[er][i]; v > 0 {
+				hi += v * t.upper[c]
+			} else {
+				lo += v * t.upper[c]
+			}
+		}
+		if sigma > 0 {
+			relaxed[k] = hi + 1
+		} else {
+			relaxed[k] = lo - 1
+		}
+		if math.IsInf(relaxed[k], 0) {
+			return fmt.Errorf("lp: a removed row's relaxation is unbounded over the variable box; remove it with a nil basis and re-solve cold")
+		}
+	}
+	if !t.callOpen {
+		t.pivotsAtCall = t.pivots
+		t.refactorsAtCall = t.refactors
+		t.kstatsAtCall = t.kstats
+		t.callOpen = true
+	}
+	saved := make([]float64, len(rows))
+	for k, er := range rows {
+		saved[k], t.rhs[er] = t.rhs[er], relaxed[k]
+	}
+	budget := 4*t.rowsBuilt + 400
+	status := t.dualIterate(&budget)
+	for _, er := range rows {
+		if status == Optimal && t.basicLogical(er) < 0 {
+			status = IterLimit // cannot happen at a true optimum; refuse rather than excise a tight row
+		}
+	}
+	if status != Optimal {
+		for k, er := range rows {
+			t.rhs[er] = saved[k]
+		}
+		if t.ensureFactor() {
+			t.refreshXB()
+		}
+		return fmt.Errorf("lp: repairing the relaxed rows ended %v; remove them with a nil basis and re-solve cold", status)
+	}
 	return nil
 }
 
