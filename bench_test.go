@@ -212,44 +212,6 @@ func BenchmarkSolveLPSmall(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveLPPricing is the pricing-rule ablation on the E18 family
-// (seed 7): the default dual steepest-edge pipeline against the devex
-// fallback rule and the Dantzig baseline, with pivots and separation
-// rounds reported next to wall time. These numbers back the pricing
-// architecture the same way BenchmarkSolveLPSmall backs the adaptive
-// batch cap; TestPricingPivotReduction turns the ≥2× pivot win at
-// T = 4096 into a hard gate.
-func BenchmarkSolveLPPricing(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		rule lp.PricingRule
-	}{
-		{"steepest-edge", lp.PricingSteepestEdge},
-		{"devex", lp.PricingDevex},
-		{"dantzig", lp.PricingDantzig},
-	} {
-		for _, T := range []int{1024, 2048} {
-			b.Run(fmt.Sprintf("%s/T=%d", bc.name, T), func(b *testing.B) {
-				in := gen.LargeHorizon(gen.RandomConfig{
-					N: T / 8, Horizon: T, MaxLen: 16, G: 4, Seed: 7,
-				})
-				b.ReportAllocs()
-				b.ResetTimer()
-				var res *activetime.LPResult
-				for i := 0; i < b.N; i++ {
-					var err error
-					res, err = activetime.SolveLPPricing(in, bc.rule)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(res.Pivots), "pivots")
-				b.ReportMetric(float64(res.Rounds), "rounds")
-			})
-		}
-	}
-}
-
 func BenchmarkRoundLP(b *testing.B) {
 	in := gen.RandomFlexible(gen.RandomConfig{
 		N: 20, Horizon: 30, MaxLen: 4, Slack: 4, G: 3, Seed: 5,

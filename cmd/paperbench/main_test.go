@@ -72,8 +72,9 @@ func TestRunAllQuick(t *testing.T) {
 // TestMergeTrajectoryGate exercises the -merge-bench non-regression gate
 // directly: appending compatible records extends the trajectory, dropping
 // a column, collapsing the kernel digest or raising the E20 removal
-// rebuild count is rejected without touching the file, and partial runs
-// leave unexecuted experiments ungated.
+// rebuild count is rejected without touching the file, partial runs
+// leave unexecuted experiments ungated, and a column on the retired list
+// (and only such a column) may be dropped.
 func TestMergeTrajectoryGate(t *testing.T) {
 	path := t.TempDir() + "/traj.json"
 	kern := &experiments.KernelSummary{HyperShare: 0.35, FtranAvgNNZ: 190, BtranAvgNNZ: 320, RowRefills: 12, Pivots: 100}
@@ -87,7 +88,7 @@ func TestMergeTrajectoryGate(t *testing.T) {
 	// Compatible growth: extra column, slightly moved kernel share, and a
 	// partial run that omits E17 entirely.
 	next := []benchRecord{
-		{ID: "E18", Columns: []string{"T", "pivots", "hyp%"},
+		{ID: "E18", Columns: []string{"T", "pivots", "hyp%", "dv-ms"},
 			Kernel: &experiments.KernelSummary{HyperShare: 0.30, Pivots: 90}},
 		{ID: "E20", Columns: []string{"family", "rebuilds"},
 			Delta: &experiments.DeltaSummary{RemoveRebuilds: 2, HeadlineT: 256}},
@@ -116,6 +117,10 @@ func TestMergeTrajectoryGate(t *testing.T) {
 			Kernel: &experiments.KernelSummary{HyperShare: 0.01}}}},
 		{"more removal rebuilds", []benchRecord{{ID: "E20", Columns: []string{"family", "rebuilds"},
 			Delta: &experiments.DeltaSummary{RemoveRebuilds: 3, HeadlineT: 256}}}},
+		// dv-ms is retired, but hyp% is not: retiring one column must not
+		// let an unretired one slip out beside it.
+		{"dropped unretired column beside a retired one", []benchRecord{{ID: "E18", Columns: []string{"T", "pivots"},
+			Kernel: kern}}},
 	} {
 		if err := mergeTrajectory(path, "bad", bad.recs); err == nil {
 			t.Errorf("%s: merge accepted", bad.name)
@@ -123,6 +128,10 @@ func TestMergeTrajectoryGate(t *testing.T) {
 	}
 	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
 		t.Errorf("rejected merges modified the trajectory file")
+	}
+	retired := []benchRecord{{ID: "E18", Columns: []string{"T", "pivots", "hyp%"}, Kernel: kern}}
+	if err := mergeTrajectory(path, "pr7", retired); err != nil {
+		t.Errorf("dropping the retired E18 column dv-ms was rejected: %v", err)
 	}
 }
 

@@ -21,27 +21,26 @@
 // column of U, appends the entering spike (captured for free during the
 // entering-column FTRAN), and eliminates the resulting row bump into a
 // short list of row etas, so FTRAN/BTRAN traverse only L, the updated U
-// and those row etas — never a per-pivot-growing eta-file product (the
-// KernelStats.EtaDotOps counter is structurally zero). A spike whose
-// eliminated diagonal falls below the pivot tolerance is refused and the
-// post-pivot basis refactorized from scratch (ForcedRefactors); scheduled
-// folds trigger on an update-count or updated-U fill bound. The
-// product-form eta file is kept as a selectable ablation
-// (Problem.SetFactorization). Around the factorization sit FTRAN/BTRAN
-// solves in place of every inverse product, periodic refactorization,
-// native variable upper bounds, warm-started re-solves from the previous
-// optimal basis (Problem.ResolveFrom, bounded dual simplex with
-// Harris-style tie-broken bound flips over newly appended cuts), and
-// in-place removal of rows, tight ones pivoted slack first
-// (Problem.RemoveRows). Pricing is rule-selectable
-// (Problem.SetPricing): the default maintains Forrest–Goldfarb dual
-// steepest-edge reference weights incrementally across every pivot,
-// RemoveRows and refactorization — falling back to devex max-form updates
-// when the weight set goes stale — prices the primal phase from a managed
-// partial candidate list instead of full column scans, and enters cold
-// solves directly dual feasible (no phase-1 artificials) whenever the
-// bound structure allows, which covering masters always do; the Dantzig
-// baseline is kept for ablation. A warm re-solve that fails re-enters
+// and those row etas — never a per-pivot-growing eta-file product. A spike
+// whose eliminated diagonal falls below the pivot tolerance is refused and
+// the post-pivot basis refactorized from scratch (ForcedRefactors);
+// scheduled folds trigger on an update-count or updated-U fill bound.
+// Around the factorization sit FTRAN/BTRAN solves in place of every
+// inverse product, periodic refactorization, native variable upper bounds,
+// warm-started re-solves from the previous optimal basis
+// (Problem.ResolveFrom, bounded dual simplex with Harris-style tie-broken
+// bound flips over newly appended cuts), and in-place removal of rows,
+// tight ones pivoted slack first (Problem.RemoveRows). Pricing maintains
+// Forrest–Goldfarb dual steepest-edge reference weights incrementally
+// across every pivot, RemoveRows and refactorization — falling back to
+// devex max-form updates when the weight set goes stale — prices the
+// primal phase from a managed partial candidate list instead of full
+// column scans, and enters cold solves directly dual feasible (no phase-1
+// artificials) whenever the bound structure allows, which covering masters
+// always do. This is the engine's one configuration: a product-form
+// eta-file basis and Dantzig and devex pricing rules were measured against
+// it by seed median on the scaling family and removed. A warm re-solve
+// that fails re-enters
 // through a crash basis seeded from the warm basis's surviving columns
 // before anything pays a full cold solve, a claim of anything but a
 // verified optimum still falls back to that cold solve, and the exact

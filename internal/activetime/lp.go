@@ -130,35 +130,12 @@ func SolveLPFixedBatch(in *core.Instance, cap int) (*LPResult, error) {
 	return solveLP(in, lpOptions{batchCap: cap})
 }
 
-// SolveLPPricing is the pricing-rule ablation entry point mirroring
-// SolveLPFixedBatch: the default pipeline (adaptive batch cap, purging,
-// incremental separation) with the master's simplex pricing pinned to the
-// given rule. SolveLP itself runs lp.PricingSteepestEdge; the Dantzig and
-// devex rules exist for E18's pricing columns and the cross-solver
-// property suite, which asserts all three reach the exact optimum.
-func SolveLPPricing(in *core.Instance, rule lp.PricingRule) (*LPResult, error) {
-	return solveLP(in, lpOptions{purge: true, pricing: rule})
-}
-
-// SolveLPFactorization is the factorization-rule ablation entry point
-// mirroring SolveLPPricing: the default pipeline with the master's basis
-// representation pinned to the given rule. SolveLP itself runs
-// lp.FactorizationFT (Forrest–Tomlin updates); the product-form eta file
-// (lp.FactorizationPFI) exists for E18's ablation columns, the CI endurance
-// gate, and the cross-solver property suite, which asserts both rules reach
-// the exact optimum.
-func SolveLPFactorization(in *core.Instance, rule lp.FactorizationRule) (*LPResult, error) {
-	return solveLP(in, lpOptions{purge: true, factorization: rule})
-}
-
-// lpOptions selects the cut lifecycle and pricing policy of one solveLP run.
+// lpOptions selects the cut lifecycle policy of one solveLP run. The
+// master's simplex configuration is fixed: Forrest–Tomlin updates with dual
+// steepest-edge pricing (see package lp).
 type lpOptions struct {
-	batchCap int            // cuts per separation round; 0 = adaptive in the horizon
-	purge    bool           // purge persistently slack cuts between rounds
-	pricing  lp.PricingRule // master pricing rule (zero value = steepest edge)
-	// factorization selects the master's basis representation (zero value =
-	// Forrest–Tomlin updates; lp.FactorizationPFI is the eta-file ablation).
-	factorization lp.FactorizationRule
+	batchCap int  // cuts per separation round; 0 = adaptive in the horizon
+	purge    bool // purge persistently slack cuts between rounds
 	// denseKernels pins the master's triangular solves to the dense path
 	// (lp.Problem.SetDenseKernels); pivotHook observes every master basis
 	// change (lp.Problem.SetPivotHook). Both exist for the kernel
@@ -179,20 +156,6 @@ func solveLP(in *core.Instance, opts lpOptions) (*LPResult, error) {
 		return nil, err
 	}
 	return s.Solve()
-}
-
-// jobSetKey packs a job subset into a compact map key. The hot-path
-// registry dedup no longer uses it (hashJobSet + witness compares are
-// allocation-free; see cutRegistry); it remains for the exact engine's
-// small-instance cut map and the separation tests' set comparisons.
-func jobSetKey(A []bool) string {
-	b := make([]byte, (len(A)+7)/8)
-	for i, a := range A {
-		if a {
-			b[i/8] |= 1 << (i % 8)
-		}
-	}
-	return string(b)
 }
 
 // separator is the reusable Benders separation oracle: the fractional

@@ -62,7 +62,7 @@ func solveLPExact(in *core.Instance, warm bool) (*ExactLPResult, error) {
 	// the incremental-repair code path it cross-checks.
 	sep := newSeparator(in)
 	res := &ExactLPResult{Cuts: len(in.Jobs)}
-	seen := make(map[string]bool)
+	seen := make(map[string]bool) // keyed by string(packJobSet(A))
 	var basis *lp.RatBasis
 	maxRounds := 20*T + 200
 	for round := 0; round < maxRounds; round++ {
@@ -81,7 +81,7 @@ func solveLPExact(in *core.Instance, warm bool) (*ExactLPResult, error) {
 		y := sol.Float64s()
 		added := 0
 		for _, A := range sep.separateAll(y, maxBatchCuts) {
-			key := jobSetKey(A)
+			key := string(packJobSet(A))
 			if seen[key] {
 				continue
 			}

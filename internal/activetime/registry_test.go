@@ -101,9 +101,16 @@ func TestRegistryPinsRepurgedCuts(t *testing.T) {
 // refKey is the reference dedup key the registry's hash+witness scheme must
 // agree with: the packed bitmask with trailing zero bytes stripped, so the
 // same position set keys identically at every universe size (the property
-// the canonical hash preserves across session AddJobs growth).
+// the canonical hash preserves across session AddJobs growth). It packs with
+// its own loop rather than packJobSet, so the reference stays independent
+// of the code it checks.
 func refKey(A []bool) string {
-	b := []byte(jobSetKey(A))
+	b := make([]byte, (len(A)+7)/8)
+	for i, a := range A {
+		if a {
+			b[i/8] |= 1 << (i % 8)
+		}
+	}
 	for len(b) > 0 && b[len(b)-1] == 0 {
 		b = b[:len(b)-1]
 	}

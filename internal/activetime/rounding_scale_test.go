@@ -1,12 +1,16 @@
 package activetime
 
 import (
+	"fmt"
+	"math"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/lp"
 )
 
 // TestTrialCloseMatchesFreshFlow is the equivalence property behind the
@@ -134,9 +138,11 @@ func TestSlotRepairerOrder(t *testing.T) {
 // migrated past the deadlines of not-yet-due jobs sharing the closed slot,
 // breaking their joint Hall condition on mass-bound-tight optimal
 // vertices). The hybrid close rule — certify every close against the full
-// hybrid solution — must round all of them repair-free under both
-// factorization rules, whose different optimal vertices are what exposed
-// the bug in the first place.
+// hybrid solution — must round all of them repair-free, both on the
+// vertex SolveLP finds today and on the different optimal vertex the
+// product-form eta-file simplex found (the vertices that exposed the bug
+// in the first place; that engine is gone, so its optima are fixed in
+// testdata/pfi-vertices).
 func TestRoundingHybridCloseRepairFree(t *testing.T) {
 	cases := []struct {
 		T    int
@@ -144,29 +150,83 @@ func TestRoundingHybridCloseRepairFree(t *testing.T) {
 	}{{1024, 0}, {1024, 5}, {2048, 11}, {4096, 8}}
 	for _, c := range cases {
 		in := gen.LargeHorizon(gen.RandomConfig{N: c.T / 8, Horizon: c.T, MaxLen: 16, G: 4, Seed: c.seed})
-		for _, rule := range []lp.FactorizationRule{lp.FactorizationFT, lp.FactorizationPFI} {
-			lpres, err := SolveLPFactorization(in, rule)
+		lpres, err := SolveLP(in)
+		if err != nil {
+			t.Fatalf("T=%d seed %d: SolveLP: %v", c.T, c.seed, err)
+		}
+		pfi := loadVertex(t, fmt.Sprintf("testdata/pfi-vertices/pfi-vertex-T%d-seed%d.txt", c.T, c.seed), c.T)
+		if math.Abs(pfi.Objective-lpres.Objective) > 1e-6 {
+			t.Fatalf("T=%d seed %d: fixed vertex objective %.9f, SolveLP %.9f", c.T, c.seed, pfi.Objective, lpres.Objective)
+		}
+		for _, v := range []struct {
+			name string
+			lp   *LPResult
+		}{{"SolveLP", lpres}, {"pfi vertex", pfi}} {
+			res, err := roundWithLP(in, v.lp)
 			if err != nil {
-				t.Fatalf("T=%d seed %d %v: SolveLP: %v", c.T, c.seed, rule, err)
-			}
-			res, err := roundWithLP(in, lpres)
-			if err != nil {
-				t.Fatalf("T=%d seed %d %v: round: %v", c.T, c.seed, rule, err)
+				t.Fatalf("T=%d seed %d %s: round: %v", c.T, c.seed, v.name, err)
 			}
 			if res.Repairs != 0 {
-				t.Errorf("T=%d seed %d %v: %d defensive repairs, want 0", c.T, c.seed, rule, res.Repairs)
+				t.Errorf("T=%d seed %d %s: %d defensive repairs, want 0", c.T, c.seed, v.name, res.Repairs)
 			}
 			if verr := core.VerifyActive(in, res.Schedule); verr != nil {
-				t.Errorf("T=%d seed %d %v: rounded schedule invalid: %v", c.T, c.seed, rule, verr)
+				t.Errorf("T=%d seed %d %s: rounded schedule invalid: %v", c.T, c.seed, v.name, verr)
 			}
 			if float64(res.Opened) > 2*res.LPValue+1e-6 {
-				t.Errorf("T=%d seed %d %v: opened %d > 2·LP = %.6f", c.T, c.seed, rule, res.Opened, 2*res.LPValue)
+				t.Errorf("T=%d seed %d %s: opened %d > 2·LP = %.6f", c.T, c.seed, v.name, res.Opened, 2*res.LPValue)
 			}
 			if res.ColdFlows > 1 {
-				t.Errorf("T=%d seed %d %v: %d cold flows, incremental contract allows 1", c.T, c.seed, rule, res.ColdFlows)
+				t.Errorf("T=%d seed %d %s: %d cold flows, incremental contract allows 1", c.T, c.seed, v.name, res.ColdFlows)
 			}
 		}
 	}
+}
+
+// loadVertex reads a fixed LP1 optimum: an "objective <value>" line, then
+// one "<t> <y_t>" line per nonzero slot of the horizon T ('#' starts a
+// comment line). Values are printed with %.17g, so the vertex is
+// reproduced bit for bit.
+func loadVertex(t *testing.T, path string, T int) *LPResult {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &LPResult{Y: make([]float64, T+1)}
+	sawObjective := false
+	for _, line := range strings.Split(string(data), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 || strings.HasPrefix(f[0], "#") {
+			continue
+		}
+		if len(f) != 2 {
+			t.Fatalf("%s: malformed line %q", path, line)
+		}
+		v, err := strconv.ParseFloat(f[1], 64)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if f[0] == "objective" {
+			res.Objective, sawObjective = v, true
+			continue
+		}
+		slot, err := strconv.Atoi(f[0])
+		if err != nil || slot < 1 || slot > T {
+			t.Fatalf("%s: bad slot in %q", path, line)
+		}
+		res.Y[slot] = v
+	}
+	if !sawObjective {
+		t.Fatalf("%s: no objective line", path)
+	}
+	sum := 0.0
+	for _, y := range res.Y {
+		sum += y
+	}
+	if math.Abs(sum-res.Objective) > 1e-6 {
+		t.Fatalf("%s: slots sum to %.9f, objective line says %.9f", path, sum, res.Objective)
+	}
+	return res
 }
 
 // enduranceRoundingFamilies are the two stress families of the ISSUE 7

@@ -36,7 +36,7 @@ func sameJobSets(a, b [][]bool) bool {
 	keys := func(sets [][]bool) []string {
 		out := make([]string, len(sets))
 		for i, s := range sets {
-			out[i] = jobSetKey(s)
+			out[i] = string(packJobSet(s))
 		}
 		return out
 	}
@@ -76,7 +76,7 @@ func compareSeparators(t *testing.T, inc, fresh *separator, y []float64, cap int
 	if (len(bInc) == 0) != (len(bFresh) == 0) {
 		t.Fatalf("%s: incremental violated=%v, fresh violated=%v", where, len(bInc) > 0, len(bFresh) > 0)
 	}
-	if len(bInc) > 0 && jobSetKey(bInc[0]) != jobSetKey(bFresh[0]) {
+	if len(bInc) > 0 && !bytes.Equal(packJobSet(bInc[0]), packJobSet(bFresh[0])) {
 		t.Fatalf("%s: global min-cut source sets differ", where)
 	}
 	if strict && !sameJobSets(bInc, bFresh) {
@@ -234,7 +234,7 @@ func TestSeparatorParallelWalkEquivalence(t *testing.T) {
 					seed, step, len(bPar), len(bSer))
 			}
 			for k := range bPar {
-				if jobSetKey(bPar[k]) != jobSetKey(bSer[k]) {
+				if !bytes.Equal(packJobSet(bPar[k]), packJobSet(bSer[k])) {
 					t.Fatalf("seed %d step %d: set %d differs between parallel and serial walks",
 						seed, step, k)
 				}

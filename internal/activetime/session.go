@@ -102,8 +102,6 @@ func newSession(in *core.Instance, opts lpOptions) (*Session, error) {
 }
 
 func (s *Session) applyOpts() {
-	s.prob.SetPricing(s.opts.pricing)
-	s.prob.SetFactorization(s.opts.factorization)
 	s.prob.SetDenseKernels(s.opts.denseKernels)
 	s.prob.SetPivotHook(s.opts.pivotHook)
 }

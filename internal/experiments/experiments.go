@@ -47,17 +47,14 @@ type KernelSummary struct {
 	BtranAvgNNZ float64 `json:"btranAvgNnz"` // mean result nonzeros per hypersparse BTRAN
 	RowRefills  int     `json:"rowRefills"`  // dual working-set refill sweeps
 	Pivots      int     `json:"pivots"`      // simplex pivots on the headline run
-	// Factorization-update digest of the headline run (the Forrest–Tomlin
-	// default): in-place updates applied, mean spike nonzeros absorbed per
-	// update, stability-forced refactorizations, peak updated-U fill as a
-	// percentage of the refactorization-time factors, and eta-file entries
-	// traversed — structurally zero under FT, the whole point of the
-	// representation, and gated as such by the trajectory merge.
+	// Factorization-update digest of the headline run: Forrest–Tomlin
+	// in-place updates applied, mean spike nonzeros absorbed per update,
+	// stability-forced refactorizations, and peak updated-U fill as a
+	// percentage of the refactorization-time factors.
 	FTUpdates       int     `json:"ftUpdates"`
 	FTSpikeAvgNNZ   float64 `json:"ftSpikeAvgNnz"`
 	ForcedRefactors int     `json:"forcedRefactors"`
 	UFillMaxPct     int     `json:"uFillMaxPct"`
-	EtaDotOps       int     `json:"etaDotOps"`
 }
 
 // AddRow appends a formatted row.
@@ -146,7 +143,7 @@ func All() []Runner {
 		{"E15", "Online busy time (Section 1.3 related work)", E15Online},
 		{"E16", "Wall-clock scaling of the polynomial algorithms", E16Scaling},
 		{"E17", "LP1 pipeline at large horizons (batched vs single-cut)", E17LPScaling},
-		{"E18", "Pivot-cost scaling of the LU/eta simplex core", E18PivotCost},
+		{"E18", "Pivot-cost scaling of the LU/FT simplex core", E18PivotCost},
 		{"E19", "Approximation gap across families and horizons", E19ApproxGap},
 		{"E20", "Live instance deltas vs cold re-solves", E20DeltaResolve},
 	}

@@ -28,7 +28,7 @@ func exactWeights(t *revised) []float64 {
 // (legitimately) declared them stale and fallen back to devex updates.
 func checkWeights(t *testing.T, st *revised, where string) {
 	t.Helper()
-	if st.rule != PricingSteepestEdge || st.dseStale || st.broken {
+	if st.dseStale || st.broken {
 		return
 	}
 	want := exactWeights(st)

@@ -13,8 +13,8 @@ import (
 // transformed: rows are stored once in sign-normalized compressed sparse
 // form (plus a per-column view for FTRAN), and all pivoting state lives in
 // the factorized basis representation f — a sparse LU of the basis as of
-// the last refactorization plus a product-form eta file, one eta per basis
-// change (see factor.go). Logical columns (slacks, surpluses, artificials)
+// the last refactorization, kept current by one Forrest–Tomlin update per
+// basis change (see factor.go). Logical columns (slacks, surpluses, artificials)
 // are signed unit vectors and are never materialized. xB holds the actual
 // value of each basic variable — not a transformed right-hand side — which
 // keeps the bookkeeping correct when nonbasic variables rest at nonzero
@@ -23,8 +23,7 @@ import (
 // Per pivot the engine performs:
 //
 //   - an FTRAN (w = B⁻¹·A_q): the entering column's sparse entries solved
-//     through L, the row etas, and the updated U (through L, the frozen U
-//     and the eta file under the PFI ablation), O(m + nnz(factors));
+//     through L, the row etas, and the updated U, O(m + nnz(factors));
 //   - a BTRAN (rho = e_rᵀ·B⁻¹) for the leaving row when the dual ratio test
 //     or the reduced-cost update needs the pivot row;
 //   - a pivot-row sweep alpha = rho·A over the sparse rows touching rho,
@@ -33,14 +32,12 @@ import (
 //     length n;
 //   - a Forrest–Tomlin update of U in place — spike column in, bump row
 //     eliminated into one short row eta, O(nnz(spike) + bump closure)
-//     written (an eta-file append of nnz(w) entries under the PFI
-//     ablation) — plus an O(|touched|) in-place reduced-cost update:
-//     nothing of size m² is ever written.
+//     written — plus an O(|touched|) in-place reduced-cost update: nothing
+//     of size m² is ever written.
 //
-// The updated factors are folded into a fresh LU on the fold policy of the
-// active factorization rule (update count / fill growth for Forrest–Tomlin,
-// maxEtas operations or etaBloat times the factor size for the PFI
-// ablation), when rows are appended or removed (factorStale), on every
+// The updated factors are folded into a fresh LU on the fold policy of
+// factor.go (update count or fill growth), when rows are appended or
+// removed (factorStale), on every
 // resync, and — forced, counted in KernelStats.ForcedRefactors — when a
 // spike fails the update's stability tolerance. Numerical drift is controlled
 // exactly as documented in the package comment: the reduced-cost row is
@@ -67,7 +64,7 @@ type revised struct {
 	logRow  []int32   // per logical column (index col-n): owning row
 	logSign []float64 // +1 slack/artificial, -1 surplus
 
-	f           factor  // factorized basis: LU + FT updates or eta file (see factor.go)
+	f           factor  // factorized basis: LU + Forrest–Tomlin updates (see factor.go)
 	factorStale bool    // basis structure changed; refactorize before solving
 	broken      bool    // refactorization failed; only IterLimit may be reported
 	probRow     []int32 // per Problem row: engine row, or -1 if presolved away
@@ -131,7 +128,6 @@ type revised struct {
 	kstatsAtCall KernelStats // snapshot when the current ResolveFrom began
 
 	// Pricing state (see the pricing section of the package comment).
-	rule PricingRule
 	// dseW[i] is the dual pricing weight of basis position i: the exact
 	// Forrest–Goldfarb reference weight ‖e_iᵀB⁻¹‖² while dseStale is
 	// false, a devex-style approximation after. A negative entry marks a
@@ -160,19 +156,6 @@ type revised struct {
 	pivotHook func(row, col int) // observes basis changes; nil outside tests
 }
 
-// Refactorization policy of the PFI ablation: fold the eta file into a
-// fresh LU when it holds maxEtas operations (bounding both solve cost and
-// accumulated update error), or earlier when its nonzeros dwarf the factors
-// themselves (etaBloat × (nnz(LU) + m)) — dense-ish pivot columns on
-// covering masters can bloat the file long before the operation count
-// trips. The default Forrest–Tomlin rule folds on its own update-count and
-// fill-growth policy (maxFTUpdates/ftFillBloat in factor.go): its solve
-// cost does not grow per pivot, so only fill and roundoff need bounding.
-const (
-	maxEtas  = 96
-	etaBloat = 8
-)
-
 // Pricing constants.
 const (
 	// candListMax bounds the partial-pricing candidate list: a refill
@@ -180,8 +163,8 @@ const (
 	// so steady-state primal pricing touches a managed window of columns
 	// instead of all of them. A full cyclic wrap that collects nothing is
 	// the (only) way partial pricing concludes no attractive column
-	// exists, which keeps its optimality claims identical to full
-	// Dantzig's.
+	// exists, which keeps its optimality claims identical to a full
+	// scan's.
 	candListMax = 64
 	// dseWeightFloor keeps incrementally updated weights positive when
 	// cancellation in the FG update rounds a tiny weight below zero.
@@ -286,13 +269,11 @@ func newRevised(p *Problem) *revised {
 		flipSol:    make([]float64, nRows, rowCap),
 		tau:        make([]float64, nRows, rowCap),
 		touched:    make([]int32, 0, colCap),
-		rule:       p.pricing,
 		dseW:       make([]float64, nRows, rowCap),
 		inRowList:  make([]bool, nRows, rowCap),
 		pivotHook:  p.pivotHook,
 	}
 	t.f.forceDense = p.denseKernels
-	t.f.rule = p.factorization
 	t.f.stats = &t.kstats
 	// The initial all-logical basis is a signed permutation, so every row
 	// of its inverse has norm exactly 1: the weight set starts exact.
@@ -402,7 +383,7 @@ func (t *revised) scatterBasisColumn(p int, x []float64, patt []int32) []int32 {
 }
 
 // factorizeNow rebuilds the LU factorization from the current basis columns,
-// dropping the eta file. On numerical singularity the representation is lost
+// dropping the Forrest–Tomlin updates. On numerical singularity the representation is lost
 // and the state is marked broken: every iterate loop then reports IterLimit,
 // which the caller turns into a cold re-solve (or a loud non-optimum) — a
 // broken state never certifies optimality or infeasibility.
@@ -682,10 +663,7 @@ func (t *revised) btranRho(row int) {
 // Existing positions are never touched here: applyPivot maintains them
 // incrementally across every basis change.
 func (t *revised) ensureWeights() {
-	if t.rule == PricingDantzig {
-		return
-	}
-	exact := t.rule == PricingSteepestEdge && !t.dseStale && !t.broken && !t.factorStale
+	exact := !t.dseStale && !t.broken && !t.factorStale
 	for p := 0; p < t.m; p++ {
 		if t.dseW[p] >= 0 {
 			continue
@@ -717,7 +695,7 @@ func (t *revised) ensureWeights() {
 // updateWeights maintains the dual pricing weights across the basis change
 // at position row: t.w must hold the pivot column B⁻¹·A_q and t.rho the
 // pivot row e_rowᵀ·B⁻¹, both for the pre-pivot basis (which is why
-// applyPivot calls this before pushing the pivot's eta). The exact norm of
+// applyPivot calls this before the factor update). The exact norm of
 // the pivot row — free, since the row was computed for the ratio test
 // anyway — always anchors the leaving position's new weight, and doubles as
 // the staleness detector: when the incrementally carried weight disagrees
@@ -753,7 +731,7 @@ func (t *revised) updateWeights(row int) {
 		}
 	}
 	inv := 1 / wr
-	if t.rule == PricingSteepestEdge && !t.dseStale {
+	if !t.dseStale {
 		if incw := t.dseW[row]; incw > 0 && (incw*dseStaleFactor < br || incw > br*dseStaleFactor) {
 			t.dseStale = true
 			for i := range t.dseW {
@@ -761,7 +739,7 @@ func (t *revised) updateWeights(row int) {
 			}
 		}
 	}
-	if t.rule == PricingSteepestEdge && !t.dseStale {
+	if !t.dseStale {
 		// FG correction term τ = B⁻¹·rho, solved through the hypersparse
 		// kernels with rho's support as the right-hand-side pattern.
 		tau := t.tau[:t.m]
@@ -1026,8 +1004,8 @@ func (t *revised) clearAlpha() {
 
 // applyPivot performs the basis change on (row, col): the entering column
 // moves by delta in direction dir (+1 from its lower bound, -1 from its
-// upper bound), every basic value is stepped, the eta file receives the
-// pivot column, the persistent reduced-cost row is updated from the
+// upper bound), every basic value is stepped, the factors absorb the
+// entering column's spike, the persistent reduced-cost row is updated from the
 // pre-pivot pivot row, and the leaving variable settles at its upper bound
 // when toUpper is true, else at zero.
 //
@@ -1089,29 +1067,20 @@ func (t *revised) applyPivot(row, col int, dir, delta float64, toUpper bool, alp
 
 	// Maintain the dual pricing weights against the pre-pivot basis (t.w
 	// and t.rho are both still pre-pivot here; the FG correction term
-	// needs the old factors, so this must precede the eta push).
-	if t.rule != PricingDantzig {
-		t.updateWeights(row)
-	}
+	// needs the old factors, so this must precede the factor update).
+	t.updateWeights(row)
 
 	// Record the basis change instead of a dense rank-one inverse update: a
-	// Forrest–Tomlin in-place update of U by default (consuming the spike
-	// the entering FTRAN stashed), an eta-file append under the PFI
-	// ablation — O(nnz(spike)) written either way, nothing of size m².
+	// Forrest–Tomlin in-place update of U consuming the spike the entering
+	// FTRAN stashed — O(nnz(spike)) written, nothing of size m².
 	forcedRefactor := false
-	if t.f.rule == FactorizationFT {
-		if !t.f.ftUpdate(row) {
-			// The spike's eliminated diagonal failed the stability
-			// tolerance, so the update refused and the factors still
-			// describe the pre-pivot basis. Finish the basis bookkeeping,
-			// then refactorize from the post-pivot basis below.
-			t.kstats.ForcedRefactors++
-			forcedRefactor = true
-		}
-	} else if t.wSparse {
-		t.f.pushEtaSparse(row, w, t.wInd)
-	} else {
-		t.f.pushEta(row, w)
+	if !t.f.ftUpdate(row) {
+		// The spike's eliminated diagonal failed the stability tolerance,
+		// so the update refused and the factors still describe the
+		// pre-pivot basis. Finish the basis bookkeeping, then refactorize
+		// from the post-pivot basis below.
+		t.kstats.ForcedRefactors++
+		forcedRefactor = true
 	}
 
 	leave := t.basis[row]
@@ -1136,15 +1105,7 @@ func (t *revised) applyPivot(row, col int, dir, delta float64, toUpper bool, alp
 	// and reduced costs are re-derived immediately: they carry the
 	// update-era incremental state, and letting them disagree with the
 	// fresh factors makes the dual ratio test chase phantom violations.
-	fold := forcedRefactor
-	if !fold {
-		if t.f.rule == FactorizationFT {
-			fold = t.f.ftShouldFold()
-		} else {
-			fold = t.f.etas() >= maxEtas || t.f.etaNNZ() > etaBloat*(t.f.luNNZ+t.m)
-		}
-	}
-	if fold {
+	if forcedRefactor || t.f.ftShouldFold() {
 		if t.factorizeNow() {
 			t.refreshRed()
 		}
@@ -1333,21 +1294,6 @@ func (t *revised) primalIterate(phase1 bool, budget *int) Status {
 					break
 				}
 			}
-		} else if t.rule == PricingDantzig {
-			best := eps
-			for j := range red {
-				if t.inBasis[j] || (!phase1 && t.isArt[j]) {
-					continue
-				}
-				score := -red[j]
-				if t.atUpper[j] {
-					score = red[j]
-				}
-				if score > best {
-					best = score
-					col = j
-				}
-			}
 		} else {
 			col = t.pickPartial(phase1)
 		}
@@ -1460,8 +1406,8 @@ func (t *revised) refillDualRows() int {
 	return len(t.rowList)
 }
 
-// pickDualRow is the working-set leaving-row choice for the steepest-edge
-// and devex regimes: it drains the listed candidates — re-checking each
+// pickDualRow is the working-set leaving-row choice outside the Bland
+// regime: it drains the listed candidates — re-checking each
 // against the live basic values, dropping the repaired — and returns the
 // one maximizing violation²/weight (the dual steepest-edge score, ties to
 // the lowest position). Because refills list every violated position and
@@ -1529,33 +1475,27 @@ func (t *revised) dualIterate(budget *int) Status {
 		if t.sinceRefresh >= refreshEvery {
 			t.refreshRed()
 		}
-		// Leaving row. Steepest-edge/devex regimes pick the basic variable
-		// maximizing violation²/weight — the dual steepest-edge criterion,
-		// which measures each violation in the geometry of the dual edge
-		// the pivot would traverse instead of raw units; on dual-degenerate
-		// covering masters that takes far fewer (and better-conditioned)
-		// pivots than most-infeasible selection. The Dantzig rule keeps
-		// most-infeasible selection, and every rule falls back to
-		// lowest-index selection in the Bland regime.
+		// Leaving row: the basic variable maximizing violation²/weight —
+		// the dual steepest-edge criterion, which measures each violation
+		// in the geometry of the dual edge the pivot would traverse instead
+		// of raw units; on dual-degenerate covering masters that takes far
+		// fewer (and better-conditioned) pivots than most-infeasible
+		// selection. The Bland regime takes the lowest-index violated
+		// position instead.
 		row := -1
 		above := false
-		if t.rule != PricingDantzig && iter < blandFrom {
+		if iter < blandFrom {
 			row, above = t.pickDualRow()
 		} else {
-			worst := 1e-7
 			for i := 0; i < t.m; i++ {
 				v := t.xB[i]
-				if -v > worst {
-					worst, row, above = -v, i, false
-					if iter >= blandFrom {
-						break
-					}
+				if -v > 1e-7 {
+					row, above = i, false
+					break
 				}
-				if ub := t.upper[t.basis[i]]; !math.IsInf(ub, 1) && v-ub > worst {
-					worst, row, above = v-ub, i, true
-					if iter >= blandFrom {
-						break
-					}
+				if ub := t.upper[t.basis[i]]; !math.IsInf(ub, 1) && v-ub > 1e-7 {
+					row, above = i, true
+					break
 				}
 			}
 		}
@@ -1703,8 +1643,7 @@ func (t *revised) dualIterate(budget *int) Status {
 }
 
 // coldSolve builds a fresh engine state for p and solves from scratch.
-// Under the steepest-edge and devex rules it first tries the dual-feasible
-// cold start: when every negative-cost structural column has a finite
+// It first tries the dual-feasible cold start: when every negative-cost structural column has a finite
 // upper bound, resting each structural on the bound its cost sign prefers
 // makes the all-logical basis (slack for LE, surplus for GE, the
 // artificial pinned to [0,0] as an exact equality slack for EQ) dual
@@ -1719,12 +1658,12 @@ func (t *revised) dualIterate(budget *int) Status {
 // simplex can be a pivot-tolerance artifact — is re-derived on a fresh
 // state by the classic two-phase solve, whose phase-1 verdict remains the
 // engine's only cold infeasibility certificate. The discarded attempt's
-// pivots still count toward the returned state's per-call totals. Under
-// the Dantzig rule (pinned to the PR 4 baseline behavior) or when some
-// column needs its infinite bound, two-phase runs directly.
+// pivots still count toward the returned state's per-call totals. When
+// some negative-cost column needs its infinite bound, two-phase runs
+// directly.
 func coldSolve(p *Problem, budget *int) (*revised, Status) {
 	t := newRevised(p)
-	if t.rule != PricingDantzig && t.dualColdStart() {
+	if t.dualColdStart() {
 		st := t.dualIterate(budget)
 		if st == Optimal {
 			st = t.primalIterate(false, budget)
@@ -1852,10 +1791,10 @@ func (t *revised) driveOutArtificials() {
 	}
 }
 
-// resync refactorizes the basis from scratch — the eta file, the carrier of
-// all accumulated update error, is dropped and the LU rebuilt from the basis
-// columns — then recomputes every basic value and the reduced-cost row from
-// the fresh factors. It reports false when the basis matrix is numerically
+// resync refactorizes the basis from scratch — the Forrest–Tomlin updates,
+// the carrier of all accumulated update error, are dropped and the LU
+// rebuilt from the basis columns — then recomputes every basic value and
+// the reduced-cost row from the fresh factors. It reports false when the basis matrix is numerically
 // singular (the state is then broken and only IterLimit may be reported).
 func (t *revised) resync() bool {
 	if !t.factorizeNow() {
@@ -2545,9 +2484,7 @@ func newCrashRevised(p *Problem, warm *revised) *revised {
 	}
 	// A crash basis is not all-logical, so the steepest-edge weight set
 	// cannot start exact; devex carries the pricing for this state.
-	if t.rule == PricingSteepestEdge {
-		t.dseStale = true
-	}
+	t.dseStale = true
 	return t
 }
 
